@@ -86,7 +86,9 @@ lint-report:
 #     per-op allocation creep is visible in the log;
 #  3. the fork/exit lifecycle microbenchmark (DESIGN.md §11): the
 #     pooled variant must beat the unpooled baseline (>= 2x ns/op and
-#     0 B/op at steady state — pooled results are printed first);
+#     0 B/op at steady state — pooled results are printed first), and
+#     the page-cache fill/reclaim cycle (DESIGN.md §10, 0 B/op at
+#     steady state);
 #  4. the simulator-throughput record: cmd/hpmmap-perf runs a reduced
 #     Fig. 7 grid bare / observed / series-sampled / ledgered, compares
 #     cells/sec against the committed BENCH_6.json (read before it is
@@ -99,6 +101,7 @@ bench:
 	$(GO) test -run xxx -bench 'TouchDemand|TouchHugetlb|GatedAlloc' -benchmem ./internal/linuxmm/
 	$(GO) test -run xxx -bench 'HPMMAPTouchRange' -benchmem ./internal/core/
 	$(GO) test -run xxx -bench 'ForkExit' -benchmem ./internal/linuxmm/
+	$(GO) test -run xxx -bench 'PageCacheCycle' -benchmem ./internal/kernel/
 	$(GO) run ./cmd/hpmmap-perf -out BENCH_6.json -baseline BENCH_6.json -regress-pct 10 \
 		-ledger bench-history.jsonl \
 		-cpuprofile bench-cpu.pprof -memprofile bench-mem.pprof

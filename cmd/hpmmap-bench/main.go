@@ -100,7 +100,6 @@ import (
 
 	"hpmmap/internal/experiments"
 	"hpmmap/internal/ledger"
-	"hpmmap/internal/metrics"
 	"hpmmap/internal/runner"
 )
 
@@ -250,7 +249,7 @@ func main() {
 			return nil
 		}
 		if *metricsOut != "" {
-			if err := writeMetricsFile(artifactPath(*metricsOut, name, multi), obs.Merged()); err != nil {
+			if err := obs.Merged().WriteFile(artifactPath(*metricsOut, name, multi)); err != nil {
 				return err
 			}
 		}
@@ -774,31 +773,6 @@ func artifactPath(path, name string, multi bool) string {
 	}
 	ext := filepath.Ext(path)
 	return strings.TrimSuffix(path, ext) + "-" + name + ext
-}
-
-// writeMetricsFile dumps a snapshot: "-" writes text to stdout, a .json
-// suffix selects the JSON dump, anything else the Prometheus-style text
-// format.
-func writeMetricsFile(path string, snap metrics.Snapshot) error {
-	write := snap.WriteText
-	switch {
-	case strings.HasSuffix(path, ".json"):
-		write = snap.WriteJSON
-	case strings.HasSuffix(path, ".prom"):
-		write = snap.WriteOpenMetrics
-	}
-	if path == "-" {
-		return write(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // writeTraceFile writes the collector's Chrome trace-event JSON.

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"hpmmap/internal/experiments"
@@ -34,7 +33,7 @@ func main() {
 	plotH := flag.Int("plot-height", 16, "scatter height")
 	noPlot := flag.Bool("no-plot", false, "skip the timeline scatter")
 	hist := flag.String("hist", "", "also print a cost histogram for this fault kind (small|large|merge|hugetlb-large|hugetlb-small)")
-	metricsOut := flag.String("metrics", "", `write the study's merged metric snapshot to this file ("-" = stdout; .json = JSON, else text)`)
+	metricsOut := flag.String("metrics", "", `write the study's merged metric snapshot to this file ("-" = stdout; .json = JSON, .prom = OpenMetrics, else text)`)
 	traceOut := flag.String("trace-out", "", "write Chrome trace-event JSON for both runs to this file")
 	seriesOut := flag.String("series", "", "write per-cell time-series samples as CSV to this file")
 	flag.Parse()
@@ -130,7 +129,8 @@ func main() {
 }
 
 // writeArtifacts flushes the study's observability outputs: the merged
-// metric snapshot (text, or JSON for .json paths; "-" = stdout), the
+// metric snapshot (format by extension, see metrics.Snapshot.WriteFile;
+// "-" = stdout), the
 // Chrome trace and the time-series CSV. No-op per artifact whose flag
 // was empty; nil obs means none were requested.
 func writeArtifacts(obs *runner.Observations, metricsOut, traceOut, seriesOut string) {
@@ -161,13 +161,15 @@ func writeArtifacts(obs *runner.Observations, metricsOut, traceOut, seriesOut st
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	}
-	emit(metricsOut, func(f *os.File) error {
-		snap := obs.Merged()
-		if strings.HasSuffix(metricsOut, ".json") {
-			return snap.WriteJSON(f)
+	if metricsOut != "" {
+		if err := obs.Merged().WriteFile(metricsOut); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
-		return snap.WriteText(f)
-	})
+		if metricsOut != "-" {
+			fmt.Fprintf(os.Stderr, "wrote %s\n", metricsOut)
+		}
+	}
 	emit(traceOut, func(f *os.File) error { return obs.WriteTrace(f) })
 	emit(seriesOut, func(f *os.File) error { return obs.WriteSeriesCSV(f) })
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"hpmmap/internal/experiments"
@@ -32,7 +31,7 @@ func main() {
 	prof := flag.Int("profile", 1, "0=none 1=A 2=B")
 	ranks := flag.Int("ranks", 8, "ranks")
 	seed := flag.Uint64("seed", 1, "seed")
-	metricsOut := flag.String("metrics", "", `write the cell's metric snapshot to this file ("-" = stdout; .json = JSON, else text)`)
+	metricsOut := flag.String("metrics", "", `write the cell's metric snapshot to this file ("-" = stdout; .json = JSON, .prom = OpenMetrics, else text)`)
 	traceOut := flag.String("trace-out", "", "write Chrome trace-event JSON for the cell to this file")
 	seriesOut := flag.String("series", "", "write the cell's time-series samples as CSV to this file")
 	flag.Parse()
@@ -109,14 +108,11 @@ func writeArtifacts(reg *metrics.Registry, tracer *metrics.ChromeTracer, series 
 		must(f.Close())
 		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	}
-	if reg != nil {
-		emit(metricsOut, func(f *os.File) error {
-			snap := reg.Snapshot()
-			if strings.HasSuffix(metricsOut, ".json") {
-				return snap.WriteJSON(f)
-			}
-			return snap.WriteText(f)
-		})
+	if reg != nil && metricsOut != "" {
+		must(reg.Snapshot().WriteFile(metricsOut))
+		if metricsOut != "-" {
+			fmt.Fprintf(os.Stderr, "wrote %s\n", metricsOut)
+		}
 	}
 	if tracer != nil {
 		emit(traceOut, func(f *os.File) error { return metrics.WriteChromeTrace(f, tracer) })

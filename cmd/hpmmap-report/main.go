@@ -154,23 +154,7 @@ func main() {
 		if *metricsOut == "" || len(obsSnaps) == 0 {
 			return nil
 		}
-		merged := metrics.Merge(obsSnaps...)
-		write := merged.WriteText
-		switch {
-		case strings.HasSuffix(*metricsOut, ".json"):
-			write = merged.WriteJSON
-		case strings.HasSuffix(*metricsOut, ".prom"):
-			write = merged.WriteOpenMetrics
-		}
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
+		return metrics.Merge(obsSnaps...).WriteFile(*metricsOut)
 	}
 	// fail aborts the report but flushes partial observability artifacts
 	// first (the interruption satellite: ^C mid-report keeps the metrics

@@ -40,9 +40,9 @@ type Node struct {
 	// with every fork over a macro run).
 	runningCommodity int
 
-	// Page cache, one FIFO block queue per zone. Blocks are order-3
-	// (32KB) so commodity file I/O fragments large-page-sized regions
-	// realistically.
+	// Page cache, one FIFO block queue per zone, held as runs of
+	// consecutive blocks. Blocks are order-3 (32KB) so commodity file
+	// I/O fragments large-page-sized regions realistically.
 	pageCache []pcQueue
 	pcPages   []uint64
 
@@ -83,46 +83,70 @@ type Interposer interface {
 	Registered(pid int) bool
 }
 
-type pcBlock struct {
-	pfn  mem.PFN
-	zone int
+// pcRun is n physically consecutive page-cache blocks starting at pfn.
+type pcRun struct {
+	pfn mem.PFN
+	n   uint64
 }
 
-// pcQueue is a FIFO of page-cache blocks with a head index instead of
-// front reslicing, so eviction keeps the backing array's capacity and
-// sustained add/evict cycles stop paying O(len) growslice copies (the
-// pre-ISSUE-6 profile put PageCacheAdd at 38% of simulator CPU, mostly
-// memmove under append).
+// pcQueue is one zone's page cache: a FIFO of blocks held as runs of
+// physically consecutive blocks, so fills and evictions cost one entry
+// per run rather than one per 32KB block. A push contiguous with the
+// newest run extends it. The head index keeps eviction from reslicing
+// the front, and growth compacts into the dead front instead of
+// reallocating.
 type pcQueue struct {
-	blocks []pcBlock
+	runs   []pcRun
 	head   int
+	blocks int // total blocks across runs
 }
 
-func (q *pcQueue) len() int { return len(q.blocks) - q.head }
+func (q *pcQueue) len() int { return q.blocks }
 
-func (q *pcQueue) push(b pcBlock) {
-	if len(q.blocks) == cap(q.blocks) && q.head > 0 {
+// push appends n blocks starting at pfn as the newest entries.
+func (q *pcQueue) push(pfn mem.PFN, n uint64) {
+	q.blocks += int(n)
+	if last := len(q.runs) - 1; last >= q.head && q.runs[last].pfn+mem.PFN(q.runs[last].n<<pcOrder) == pfn {
+		q.runs[last].n += n
+		return
+	}
+	if len(q.runs) == cap(q.runs) && q.head > 0 {
 		// About to grow: compact into the dead front instead.
-		n := copy(q.blocks, q.blocks[q.head:])
-		q.blocks = q.blocks[:n]
+		k := copy(q.runs, q.runs[q.head:])
+		q.runs = q.runs[:k]
 		q.head = 0
 	}
-	q.blocks = append(q.blocks, b)
+	q.runs = append(q.runs, pcRun{pfn: pfn, n: n})
 }
 
-// popFront removes the count oldest blocks, calling free for each.
-func (q *pcQueue) popFront(count int, free func(pcBlock)) {
-	for i := 0; i < count; i++ {
-		free(q.blocks[q.head+i])
+// popFront removes up to max of the oldest blocks, all from the oldest
+// run (splitting it when max is smaller), and returns them as one run.
+// ok is false when the queue is empty or max is not positive.
+func (q *pcQueue) popFront(max int) (pcRun, bool) {
+	if q.blocks == 0 || max <= 0 {
+		return pcRun{}, false
 	}
-	q.head += count
-	if q.head == len(q.blocks) {
-		q.blocks = q.blocks[:0]
-		q.head = 0
+	r := &q.runs[q.head]
+	out := *r
+	if out.n > uint64(max) {
+		out.n = uint64(max)
+		r.pfn += mem.PFN(out.n << pcOrder)
+		r.n -= out.n
+	} else {
+		q.head++
+		if q.head == len(q.runs) {
+			q.runs = q.runs[:0]
+			q.head = 0
+		}
 	}
+	q.blocks -= int(out.n)
+	return out, true
 }
 
-const pcOrder = 3 // 32KB page-cache allocation units
+const (
+	pcOrder      = 3            // 32KB page-cache allocation units
+	pcBlockPages = 1 << pcOrder // base pages per page-cache block
+)
 
 // NewNode boots a node on the given engine. The default memory manager
 // must be installed with SetDefaultMM before processes run.
@@ -452,42 +476,95 @@ func (n *Node) LoadFor(p *Process) fault.Load {
 // the cache never pushes the system to OOM, it just keeps memory at the
 // watermarks, exactly the sustained-pressure regime of the paper.
 //
+// The result is exactly that of adding the blocks one at a time through
+// pcAddOne. Growth respects the low watermark: readahead and buffered
+// writes back off rather than steal the emergency reserve. A zone whose
+// gate is open admits exactly (free-low-8)/8+1 more blocks before it
+// closes, so that prefix is filled in runs with Zone.AllocRun: from the
+// preferred zone while its gate is open, else spilling to the next zone
+// (the preferred zone's gate cannot reopen meanwhile). Only the residual
+// blocks — a zone out of blocks under an open gate, and the recycle path
+// — go one at a time.
+//
 //detsim:hotpath
 func (n *Node) PageCacheAdd(zone int, bytes uint64) {
 	blocks := bytes / (mem.PageSize << pcOrder)
 	if blocks == 0 {
 		blocks = 1
 	}
-	for i := uint64(0); i < blocks; i++ {
-		// Page-cache growth respects the low watermark: readahead and
-		// buffered writes back off rather than stealing the emergency
-		// reserve (they recycle the oldest cache instead).
-		gated := func(zid int) (mem.PFN, *mem.Zone, bool) {
-			z := n.Mem.Zones[zid%len(n.Mem.Zones)]
-			if z.FreePages() < z.WatermarkLow+mem.PagesPerOrder(pcOrder) {
-				return 0, nil, false
-			}
-			pfn, ok := z.AllocPages(pcOrder)
-			return pfn, z, ok
+	zones := n.Mem.Zones
+	for blocks > 0 {
+		z := zones[zone%len(zones)]
+		if !pcGateOpen(z) {
+			z = zones[(zone+1)%len(zones)]
 		}
-		pfn, z, ok := gated(zone)
-		if !ok {
-			pfn, z, ok = gated(zone + 1)
-		}
-		if !ok {
-			n.PCAllocFails++
-			// Recycle: drop the oldest cached block and reuse its frame.
-			if !n.dropOneCacheBlock() {
-				return
+		if pcGateOpen(z) {
+			want := min(blocks, (z.FreePages()-z.WatermarkLow-pcBlockPages)/pcBlockPages+1)
+			for want > 0 {
+				pfn, got, ok := z.AllocRun(pcOrder, want)
+				if !ok {
+					break
+				}
+				n.pcInsert(z.ID, pfn, got)
+				want -= got
+				blocks -= got
 			}
-			pfn, z, ok = n.Mem.Alloc(zone, pcOrder)
-			if !ok {
-				return
+			if want == 0 {
+				continue
 			}
 		}
-		n.pageCache[z.ID].push(pcBlock{pfn: pfn, zone: z.ID})
-		n.pcPages[z.ID] += 1 << pcOrder
+		if !n.pcAddOne(zone) {
+			return
+		}
+		blocks--
 	}
+}
+
+// pcGateOpen reports whether page-cache growth may take a block from z
+// without dipping below its low watermark.
+func pcGateOpen(z *mem.Zone) bool { return z.FreePages() >= z.WatermarkLow+pcBlockPages }
+
+// pcGatedAlloc takes one block from zone zid (modulo the zone count) if
+// its gate is open.
+func (n *Node) pcGatedAlloc(zid int) (mem.PFN, *mem.Zone, bool) {
+	z := n.Mem.Zones[zid%len(n.Mem.Zones)]
+	if !pcGateOpen(z) {
+		return 0, nil, false
+	}
+	pfn, ok := z.AllocPages(pcOrder)
+	return pfn, z, ok
+}
+
+// pcAddOne adds one block to the cache: from the preferred zone, else
+// the next one, each under its gate; failing both, it recycles the
+// oldest cached block and allocates ungated. It reports false when the
+// cache cannot grow at all.
+//
+//detsim:hotpath
+func (n *Node) pcAddOne(zone int) bool {
+	pfn, z, ok := n.pcGatedAlloc(zone)
+	if !ok {
+		pfn, z, ok = n.pcGatedAlloc(zone + 1)
+	}
+	if !ok {
+		n.PCAllocFails++
+		if !n.dropOneCacheBlock() {
+			return false
+		}
+		pfn, z, ok = n.Mem.Alloc(zone, pcOrder)
+		if !ok {
+			return false
+		}
+	}
+	n.pcInsert(z.ID, pfn, 1)
+	return true
+}
+
+// pcInsert records count blocks starting at pfn as the newest cache in
+// the zone.
+func (n *Node) pcInsert(zone int, pfn mem.PFN, count uint64) {
+	n.pageCache[zone].push(pfn, count)
+	n.pcPages[zone] += count << pcOrder
 }
 
 // PageCachePages returns cached pages in the zone.
@@ -510,13 +587,20 @@ func (n *Node) dropOneCacheBlock() bool {
 	return true
 }
 
-// evictFrom frees count blocks from the zone's cache (FIFO).
+// evictFrom frees count blocks from the zone's cache (FIFO), one run
+// (or the front part of one) at a time.
+//
+//detsim:hotpath
 func (n *Node) evictFrom(zone int, count int) {
 	q := &n.pageCache[zone]
 	if count > q.len() {
 		count = q.len()
 	}
-	q.popFront(count, func(b pcBlock) { n.Mem.Free(b.pfn, pcOrder) })
+	for left := count; left > 0; {
+		r, _ := q.popFront(left)
+		n.Mem.FreeRun(r.pfn, r.n, pcOrder)
+		left -= int(r.n)
+	}
 	n.pcPages[zone] -= uint64(count) << pcOrder
 	n.ReclaimedPages += uint64(count) << pcOrder
 }

@@ -73,6 +73,22 @@ func (n *NodeMemory) Free(p PFN, order int) {
 	z.FreeBlock(p, order)
 }
 
+// FreeRun returns count consecutive blocks of the given order starting
+// at p to the zone that owns them, exactly as count ascending Free calls
+// would. The run must lie in one zone: the part of a run past its zone's
+// end fails FreeBlock's bounds check.
+//
+//detsim:hotpath
+func (n *NodeMemory) FreeRun(p PFN, count uint64, order int) {
+	z := n.ZoneOf(p)
+	if z == nil {
+		// Simulated-state violation: see Free.
+		invariant.Failf("free_outside_zones", "mem",
+			"FreeRun(%d, order %d): frame belongs to no zone", p, order)
+	}
+	z.FreeRun(p, count, order)
+}
+
 // ZoneOf returns the zone containing frame p, or nil.
 func (n *NodeMemory) ZoneOf(p PFN) *Zone {
 	for _, z := range n.Zones {

@@ -113,7 +113,7 @@ func (z *Zone) AllocPages(order int) (PFN, bool) {
 	return 0, false
 }
 
-// FreePages returns a block to the allocator, coalescing with free buddies
+// FreeBlock returns a block to the allocator, coalescing with free buddies
 // as far as possible.
 func (z *Zone) FreeBlock(p PFN, order int) {
 	if order < 0 || order > MaxOrder {
@@ -148,6 +148,118 @@ func (z *Zone) FreeBlock(p PFN, order int) {
 		order++
 	}
 	z.free[order].push(p)
+}
+
+// AllocRun is the run-shaped form of a sequence of AllocPages(order)
+// calls: each call allocates the next ascending run of at most max
+// blocks of the given order, returning its first frame and its block
+// count, and leaves the zone exactly as that many AllocPages(order)
+// calls would. Callers loop until they have what they need or ok is
+// false; an ok=false call touches nothing, not even Failures, so a
+// caller that still needs a block makes the failing AllocPages itself.
+//
+// Exactness: let k be the lowest order >= order with a free block (all
+// of [order, k) are empty) and B the top of free[k]. The next
+// 2^(k-order) AllocPages(order) calls return B's sub-blocks in
+// ascending order and leave [order, k) empty again, so when max covers
+// all of them their net effect is one free[k].pop() plus the stats
+// (Allocs 2^(k-order), Splits 2^(k-order)-1). Otherwise the call is
+// one ordinary AllocPages.
+//
+//detsim:hotpath
+func (z *Zone) AllocRun(order int, max uint64) (PFN, uint64, bool) {
+	if order < 0 || order > MaxOrder {
+		// AllocPages raises the out-of-range programmer error.
+		p, ok := z.AllocPages(order)
+		return p, 1, ok
+	}
+	if max == 0 {
+		return 0, 0, false
+	}
+	for k := order; k <= MaxOrder; k++ {
+		if z.free[k].len() == 0 {
+			continue
+		}
+		n := PagesPerOrder(k - order)
+		if n > max {
+			p, _ := z.AllocPages(order)
+			return p, 1, true
+		}
+		p, _ := z.free[k].pop()
+		z.freePages -= PagesPerOrder(k)
+		z.Allocs += n
+		z.Splits += n - 1
+		return p, n, true
+	}
+	return 0, 0, false
+}
+
+// FreeRun is the run-shaped form of FreeBlock(p+i*2^order, order) for
+// i = 0..n-1 in ascending order. It splits the run into maximal aligned
+// blocks, ascending, and frees each whole block with one FreeBlock.
+//
+// Exactness: when consecutive frees tile an aligned order-k block B
+// with nothing in between, every intermediate push or remove touches
+// only B's own entries, each above its list's prior length (a merge
+// always removes the list's last item), so no outside item moves and
+// the net effect is FreeBlock(B, k) plus the stats (Frees and Merges
+// each 2^(k-order)-1 more). Before B is freed whole, no slot inside B
+// may be set on a free list of order [order, k): that double-free check
+// is at least as strong as the per-block pushes it replaces.
+//
+//detsim:hotpath
+func (z *Zone) FreeRun(p PFN, n uint64, order int) {
+	if order < 0 || order > MaxOrder {
+		// FreeBlock raises the out-of-range programmer error.
+		z.FreeBlock(p, order)
+		return
+	}
+	end := p + PFN(n<<uint(order))
+	for p < end {
+		k := order
+		rel := uint64(p - z.Base)
+		for k < MaxOrder && rel&(PagesPerOrder(k+1)-1) == 0 && p+PFN(PagesPerOrder(k+1)) <= end {
+			k++
+		}
+		z.checkNotFree(p, k, order)
+		z.FreeBlock(p, k)
+		extra := PagesPerOrder(k-order) - 1
+		z.Frees += extra
+		z.Merges += extra
+		p += PFN(PagesPerOrder(k))
+	}
+}
+
+// checkNotFree fails with free_list_double_push when any block inside
+// the order-k block at p sits on a free list of order [lo, k). Blocks
+// outside the zone's span are left to FreeBlock's bounds check.
+//
+//detsim:hotpath
+func (z *Zone) checkNotFree(p PFN, k, lo int) {
+	if p < z.Base || p+PFN(PagesPerOrder(k)) > z.Base+PFN(z.Pages) {
+		return
+	}
+	for o := lo; o < k; o++ {
+		f := z.free[o]
+		s := f.slot(p)
+		for i, v := range f.idx[s : s+PagesPerOrder(k-o)] {
+			if v != 0 {
+				// Simulated-state violation: part of a run being freed
+				// is already free (a double free somewhere upstream).
+				invariant.Failf("free_list_double_push", "mem",
+					"FreeRun: frame %d (order %d) inside block [%d,+2^%d) is already free",
+					p+PFN(uint64(i)<<uint(o)), o, p, k)
+			}
+		}
+	}
+}
+
+// FreeList returns a copy of the free blocks at exactly the given order
+// in the list's internal order (AllocPages pops from the end). Two zones
+// with equal FreeList at every order, equal stats and equal FreePages
+// are in the same allocator state.
+func (z *Zone) FreeList(order int) []PFN {
+	return append([]PFN(nil), z.free[order].items...)
 }
 
 // FreeBlocksAt returns the number of free blocks at exactly the given
@@ -401,14 +513,15 @@ func (z *Zone) CheckAccounting() error {
 // wrapped (with the coalescing check) by the exported CheckInvariants.
 func (z *Zone) checkInvariants() error {
 	var total uint64
-	seen := make(map[PFN]int)
+	span := z.Pages + offlinedPages(z)
+	seen := make([]int8, span) // frame - Base -> order+1 of the free block holding it
 	for o := 0; o <= MaxOrder; o++ {
 		var err error
 		z.free[o].each(func(p PFN) {
 			if err != nil {
 				return
 			}
-			if p < z.Base || p+PFN(PagesPerOrder(o)) > z.Base+PFN(z.Pages)+PFN(offlinedPages(z)) {
+			if p < z.Base || p+PFN(PagesPerOrder(o)) > z.Base+PFN(span) {
 				err = fmt.Errorf("free block %d order %d outside zone", p, o)
 				return
 			}
@@ -416,12 +529,13 @@ func (z *Zone) checkInvariants() error {
 				err = fmt.Errorf("free block %d misaligned for order %d", p, o)
 				return
 			}
-			for i := uint64(0); i < PagesPerOrder(o); i++ {
-				if prev, dup := seen[p+PFN(i)]; dup {
-					err = fmt.Errorf("frame %d on free lists twice (orders %d and %d)", p+PFN(i), prev, o)
+			rel := uint64(p - z.Base)
+			for i, prev := range seen[rel : rel+PagesPerOrder(o)] {
+				if prev != 0 {
+					err = fmt.Errorf("frame %d on free lists twice (orders %d and %d)", p+PFN(i), prev-1, o)
 					return
 				}
-				seen[p+PFN(i)] = o
+				seen[rel+uint64(i)] = int8(o + 1)
 			}
 			total += PagesPerOrder(o)
 		})
