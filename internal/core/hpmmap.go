@@ -390,7 +390,7 @@ func (m *Manager) mapAt(p *kernel.Process, ps *procState, at pgtable.VirtAddr, l
 			if zone != p.PreferredZone {
 				r.remote += mem.HugePageSize
 			}
-			cost += m.AllocBookkeeping + m.PTSetupCost + 512*m.node.Config().Costs.Clear2MCycles(load)
+			cost += m.AllocBookkeeping + m.PTSetupCost + 512*m.node.Costs().Clear2MCycles(load)
 			if m.node.Detail {
 				va := at + pgtable.VirtAddr(off)
 				if err := p.PT.Map(va, mem.PFN(addr/mem.PageSize), pgtable.Page1G, pgtable.ProtRead|pgtable.ProtWrite); err != nil {
@@ -417,7 +417,7 @@ func (m *Manager) mapAt(p *kernel.Process, ps *procState, at pgtable.VirtAddr, l
 		if zone != p.PreferredZone {
 			r.remote += mem.LargePageSize
 		}
-		cost += m.AllocBookkeeping + m.PTSetupCost + m.node.Config().Costs.Clear2MCycles(load)
+		cost += m.AllocBookkeeping + m.PTSetupCost + m.node.Costs().Clear2MCycles(load)
 		if m.node.Detail {
 			va := at + pgtable.VirtAddr(off)
 			if err := p.PT.Map(va, mem.PFN(addr/mem.PageSize), pgtable.Page2M, pgtable.ProtRead|pgtable.ProtWrite); err != nil {
@@ -528,7 +528,7 @@ func (m *Manager) Brk(p *kernel.Process, newBrk pgtable.VirtAddr) (pgtable.VirtA
 				ps.heap.remote += mem.LargePageSize
 				p.ResidentRemote += mem.LargePageSize
 			}
-			c += m.AllocBookkeeping + m.PTSetupCost + m.node.Config().Costs.Clear2MCycles(load)
+			c += m.AllocBookkeeping + m.PTSetupCost + m.node.Costs().Clear2MCycles(load)
 		}
 		ps.heap.length = wantLen
 		p.ResidentLarge += delta

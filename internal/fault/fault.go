@@ -155,19 +155,19 @@ type Load struct {
 
 // Clear2MCycles returns the cost of zeroing one 2MB page under the given
 // bandwidth load.
-func (c CostParams) Clear2MCycles(load Load) float64 {
+func (c *CostParams) Clear2MCycles(load Load) float64 {
 	lines := float64(2<<20) / c.CachelineBytes
 	return lines * c.StoreCycles * (1 + c.BandwidthContention*load.BandwidthLoad)
 }
 
 // Clear4KCycles returns the cost of zeroing one 4KB page.
-func (c CostParams) Clear4KCycles(load Load) float64 {
+func (c *CostParams) Clear4KCycles(load Load) float64 {
 	lines := float64(4<<10) / c.CachelineBytes
 	return lines * c.StoreCycles * (1 + c.BandwidthContention*load.BandwidthLoad)
 }
 
 // SmallFault returns the cycles to service a 4KB anonymous fault.
-func (c CostParams) SmallFault(r *sim.Rand, load Load) sim.Cycles {
+func (c *CostParams) SmallFault(r *sim.Rand, load Load) sim.Cycles {
 	base := c.TrapOverhead + c.SmallBase + c.Clear4KCycles(load)
 	base *= 1 + c.LockContention*load.AllocContention
 	return r.CyclesNormal(base, c.SmallJitter*(1+load.AllocContention), c.TrapOverhead)
@@ -176,7 +176,7 @@ func (c CostParams) SmallFault(r *sim.Rand, load Load) sim.Cycles {
 // LargeFault returns the cycles to service a THP 2MB fault.
 // needCompaction reports whether the allocator had to compact (callers
 // decide from allocator state; pass load.FragIndex-driven decisions in).
-func (c CostParams) LargeFault(r *sim.Rand, load Load, needCompaction bool) sim.Cycles {
+func (c *CostParams) LargeFault(r *sim.Rand, load Load, needCompaction bool) sim.Cycles {
 	base := c.TrapOverhead + c.LargeAllocBase + c.Clear2MCycles(load)
 	base *= 1 + c.LockContention*load.AllocContention
 	if needCompaction {
@@ -190,18 +190,18 @@ func (c CostParams) LargeFault(r *sim.Rand, load Load, needCompaction bool) sim.
 // SmallFaultMean returns the expected small-fault cost under load — the
 // aggregate fault path charges n faults as Normal(n*mean, sqrt(n)*stdev)
 // instead of drawing n times.
-func (c CostParams) SmallFaultMean(load Load) float64 {
+func (c *CostParams) SmallFaultMean(load Load) float64 {
 	base := c.TrapOverhead + c.SmallBase + c.Clear4KCycles(load)
 	return base * (1 + c.LockContention*load.AllocContention)
 }
 
 // SmallFaultStdev returns the per-fault standard deviation under load.
-func (c CostParams) SmallFaultStdev(load Load) float64 {
+func (c *CostParams) SmallFaultStdev(load Load) float64 {
 	return c.SmallJitter * (1 + load.AllocContention)
 }
 
 // AggregateSmallFaults draws the total cost of n small faults.
-func (c CostParams) AggregateSmallFaults(r *sim.Rand, load Load, n uint64) sim.Cycles {
+func (c *CostParams) AggregateSmallFaults(r *sim.Rand, load Load, n uint64) sim.Cycles {
 	if n == 0 {
 		return 0
 	}
@@ -213,7 +213,7 @@ func (c CostParams) AggregateSmallFaults(r *sim.Rand, load Load, n uint64) sim.C
 func sqrtU64(n uint64) float64 { return math.Sqrt(float64(n)) }
 
 // MergeDuration returns how long one khugepaged merge holds the mm lock.
-func (c CostParams) MergeDuration(r *sim.Rand, load Load) sim.Cycles {
+func (c *CostParams) MergeDuration(r *sim.Rand, load Load) sim.Cycles {
 	base := c.MergeCopyFactor*c.Clear2MCycles(load) + c.MergeRemapCost
 	base *= 1 + c.LockContention*load.AllocContention
 	// Merges under commodity load wait on LRU/zone locks and on isolating
@@ -228,7 +228,7 @@ func (c CostParams) MergeDuration(r *sim.Rand, load Load) sim.Cycles {
 // HugeTLBLargeFault returns the cycles to fill a 2MB page from a hugetlb
 // pool. The pool is preallocated and isolated, so memory pressure does not
 // add compaction; bandwidth contention still applies to the clear.
-func (c CostParams) HugeTLBLargeFault(r *sim.Rand, load Load) sim.Cycles {
+func (c *CostParams) HugeTLBLargeFault(r *sim.Rand, load Load) sim.Cycles {
 	base := c.TrapOverhead + c.HugeTLBPoolCost + c.Clear2MCycles(load)
 	return r.CyclesNormal(base, base*0.3, c.TrapOverhead)
 }
@@ -237,7 +237,7 @@ func (c CostParams) HugeTLBLargeFault(r *sim.Rand, load Load) sim.Cycles {
 // configured system, where small pages are scarce under load: with
 // probability rising in pressure the fault performs direct reclaim with a
 // heavy-tailed stall.
-func (c CostParams) HugeTLBSmallFault(r *sim.Rand, load Load) (sim.Cycles, bool) {
+func (c *CostParams) HugeTLBSmallFault(r *sim.Rand, load Load) (sim.Cycles, bool) {
 	svc, stall, stalled := c.HugeTLBSmallFaultParts(r, load)
 	return svc + stall, stalled
 }
@@ -247,7 +247,7 @@ func (c CostParams) HugeTLBSmallFault(r *sim.Rand, load Load) (sim.Cycles, bool)
 // stall to a different cause than the fault itself. Draw order is
 // identical to HugeTLBSmallFault (which delegates here), so switching
 // between the two never perturbs the random stream.
-func (c CostParams) HugeTLBSmallFaultParts(r *sim.Rand, load Load) (svc, stall sim.Cycles, stalled bool) {
+func (c *CostParams) HugeTLBSmallFaultParts(r *sim.Rand, load Load) (svc, stall sim.Cycles, stalled bool) {
 	svc = c.SmallFault(r, load)
 	if p := c.reclaimProb(load.MemPressure); p > 0 && r.Bool(p) {
 		s := r.Pareto(c.ReclaimParetoXm, c.ReclaimParetoAlpha)
@@ -262,7 +262,7 @@ func (c CostParams) HugeTLBSmallFaultParts(r *sim.Rand, load Load) (svc, stall s
 
 // DirectReclaim returns a heavy-tailed direct reclaim stall for the
 // generic allocation path (used when a zone allocation fails outright).
-func (c CostParams) DirectReclaim(r *sim.Rand, load Load) sim.Cycles {
+func (c *CostParams) DirectReclaim(r *sim.Rand, load Load) sim.Cycles {
 	stall := r.Pareto(c.ReclaimParetoXm, c.ReclaimParetoAlpha)
 	stall *= 1 + c.BandwidthContention*load.BandwidthLoad
 	if stall > c.ReclaimCap {
@@ -273,9 +273,9 @@ func (c CostParams) DirectReclaim(r *sim.Rand, load Load) sim.Cycles {
 
 // ReclaimProb returns the per-fault probability of entering direct
 // reclaim at the given memory pressure.
-func (c CostParams) ReclaimProb(pressure float64) float64 { return c.reclaimProb(pressure) }
+func (c *CostParams) ReclaimProb(pressure float64) float64 { return c.reclaimProb(pressure) }
 
-func (c CostParams) reclaimProb(pressure float64) float64 {
+func (c *CostParams) reclaimProb(pressure float64) float64 {
 	if pressure <= c.ReclaimThreshold {
 		return 0
 	}

@@ -178,6 +178,11 @@ func NewNode(cfg MachineConfig, eng *sim.Engine, rnd *sim.Rand) *Node {
 // Config returns the machine configuration.
 func (n *Node) Config() MachineConfig { return n.cfg }
 
+// Costs returns the machine's fault cost parameters in place. Config
+// copies the whole configuration, which the per-fault cost draws cannot
+// afford; callers must not modify the parameters.
+func (n *Node) Costs() *fault.CostParams { return &n.cfg.Costs }
+
 // Engine returns the simulation engine.
 func (n *Node) Engine() *sim.Engine { return n.eng }
 

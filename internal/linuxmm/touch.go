@@ -116,7 +116,7 @@ func (m *Manager) consumeMergeStalls(tc *touchCtx) {
 	p.PendingEvictCosts = p.PendingEvictCosts[:0]
 }
 
-func (m *Manager) costs() fault.CostParams { return m.node.Config().Costs }
+func (m *Manager) costs() *fault.CostParams { return m.node.Costs() }
 
 // touchDemand materializes [from, to) of a demand-paged region: THP large
 // chunks inside the eligible span, 4KB everywhere else.
@@ -558,9 +558,13 @@ func sqrt(x float64) float64 {
 
 // mapSmallDetail installs one 4KB PTE with a synthetic frame drawn from
 // the region's small blocks (frame identity within a block is not
-// significant; the table structure and counts are).
+// significant; the table structure and counts are). An address that is
+// not 4KB-aligned installs nothing: Map would refuse it before any side
+// effect, so returning first only skips building the refusal's error.
+// Such addresses come from touches that start at a byte-granular touch
+// cursor (brk heap extensions, the partial-chunk head in a THP span).
 func (m *Manager) mapSmallDetail(p *kernel.Process, va pgtable.VirtAddr, r *region) {
-	if len(r.smallBlocks) == 0 {
+	if len(r.smallBlocks) == 0 || uint64(va)%mem.PageSize != 0 {
 		return
 	}
 	blk := r.smallBlocks[len(r.smallBlocks)-1]

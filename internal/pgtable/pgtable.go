@@ -96,13 +96,15 @@ func levelFor(ps PageSize) int {
 	panic(fmt.Sprintf("pgtable: level lookup with invalid PageSize %d (valid: Page4K, Page2M, Page1G)", ps))
 }
 
-// entry is one slot of a table node.
+// entry is one slot of a table node. The word-sized fields come first
+// so the three byte-sized ones pack into one trailing word: 24 bytes
+// per entry, ~12KB per node.
 type entry struct {
+	pfn     mem.PFN
+	child   *node
 	present bool
 	leaf    bool // terminal mapping (possibly large) rather than a child table
-	pfn     mem.PFN
 	prot    Prot
-	child   *node
 }
 
 // node is one 4KB table page holding 512 entries.
@@ -132,7 +134,7 @@ type Table struct {
 }
 
 // New returns an empty address space. The root node is materialized on
-// first Map: a node is 512 entries (~16KB), and aggregate-fidelity runs
+// first Map: a node is 512 entries (~12KB), and aggregate-fidelity runs
 // create page tables for every process and fork without ever mapping a
 // page — eager roots were 70% of all simulator allocation (ISSUE 6).
 // TablePages still counts the root from birth so accounting is unchanged.
@@ -461,40 +463,83 @@ func (t *Table) Range(fn func(va VirtAddr, m Mapping) bool) {
 }
 
 // UnmapRange removes every leaf mapping that starts inside
-// [start, start+length) and returns the released frames with their sizes.
-// Mappings straddling the range boundary are not supported (callers align
-// ranges to mapping boundaries, as the VMA layer guarantees).
-func (t *Table) UnmapRange(start VirtAddr, length uint64) []ReleasedPage {
-	var released []ReleasedPage
-	type target struct {
-		va VirtAddr
-		ps PageSize
+// [start, start+length). Mappings straddling the range boundary are not
+// supported (callers align ranges to mapping boundaries, as the VMA layer
+// guarantees): a leaf that starts before start is kept, one that starts
+// inside the range is removed whole. Tables left empty are pruned, so the
+// resulting tree is the one unmapping the same leaves one by one with
+// Unmap produces.
+func (t *Table) UnmapRange(start VirtAddr, length uint64) {
+	lo, hi := uint64(start), uint64(start)+length
+	if t.root == nil || hi <= lo {
+		return
 	}
-	var targets []target
-	t.Range(func(va VirtAddr, m Mapping) bool {
-		if uint64(va) >= uint64(start) && uint64(va) < uint64(start)+length {
-			targets = append(targets, target{va, m.Size})
-		}
-		return true
-	})
-	for _, tg := range targets {
-		pfn, err := t.Unmap(tg.va, tg.ps)
-		if err != nil {
-			// Simulated-state violation: a mapping Range just enumerated
-			// disappeared before Unmap reached it — the table mutated
-			// underneath its own teardown.
-			invariant.Failf("unmap_lost_mapping", "pgtable",
-				"UnmapRange[%#x,+%#x): mapping at %#x (size %s) vanished mid-teardown: %v",
-				uint64(start), length, uint64(tg.va), tg.ps, err)
-		}
-		released = append(released, ReleasedPage{VA: tg.va, PFN: pfn, Size: tg.ps})
-	}
-	return released
+	t.unmapRange(t.root, levelPML4, 0, lo, hi)
 }
 
-// ReleasedPage reports one unmapped leaf.
-type ReleasedPage struct {
-	VA   VirtAddr
-	PFN  mem.PFN
-	Size PageSize
+// unmapRange clears the leaves of n (whose slots start at base) that
+// start in [lo, hi), descending only into the slots whose subtree
+// intersects the range and pruning each child table it empties. The
+// caller guarantees that n's span intersects [lo, hi).
+//
+//detsim:hotpath
+func (t *Table) unmapRange(n *node, level int, base, lo, hi uint64) {
+	shift := shiftFor(level)
+	first, last := uint64(0), min(uint64(len(n.slots)-1), (hi-1-base)>>shift)
+	if lo > base {
+		first = (lo - base) >> shift
+	}
+	for i := first; i <= last; i++ {
+		e := &n.slots[i]
+		if !e.present {
+			continue
+		}
+		va := base | i<<shift
+		if !e.leaf {
+			t.unmapRange(e.child, level+1, va, lo, hi)
+			if e.child.live == 0 {
+				if n.live <= 0 || t.TablePages <= 1 {
+					t.underflow("prune", va, level, n)
+				}
+				*e = entry{}
+				n.live--
+				t.TablePages--
+			}
+			continue
+		}
+		if va < lo {
+			continue // a large leaf that starts before the range
+		}
+		mapped := t.mappedAt(level)
+		if n.live <= 0 || *mapped == 0 {
+			t.underflow("leaf", va, level, n)
+		}
+		*e = entry{}
+		n.live--
+		*mapped--
+		t.UnmapOps++
+	}
+}
+
+// mappedAt returns the leaf counter of the size that maps at level.
+func (t *Table) mappedAt(level int) *uint64 {
+	switch level {
+	case levelPDPT:
+		return &t.Mapped1G
+	case levelPD:
+		return &t.Mapped2M
+	default:
+		return &t.Mapped4K
+	}
+}
+
+// underflow reports a teardown that would drive a node's live count or
+// a Mapped* counter below zero, or TablePages below the root.
+func (t *Table) underflow(what string, va uint64, level int, n *node) {
+	// Simulated-state violation: the counters disagree with the slots
+	// they count — a present entry in a node that records none live, or
+	// a leaf whose size class records no mappings.
+	invariant.Failf("unmap_underflow", "pgtable",
+		"UnmapRange %s at %#x (level %d): node live=%d, 4K=%d 2M=%d 1G=%d, tables=%d",
+		what, va, level, n.live, t.Mapped4K, t.Mapped2M, t.Mapped1G, t.TablePages)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hpmmap/internal/invariant"
 	"hpmmap/internal/mem"
 	"hpmmap/internal/sim"
 )
@@ -269,23 +270,100 @@ func TestUnmapRange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	released := pt.UnmapRange(base+VirtAddr(2*mem.LargePageSize), 3*mem.LargePageSize)
-	if len(released) != 3 {
-		t.Fatalf("released %d pages, want 3", len(released))
+	pt.UnmapRange(base+VirtAddr(2*mem.LargePageSize), 3*mem.LargePageSize)
+	if pt.UnmapOps != 3 {
+		t.Fatalf("UnmapOps = %d, want 3", pt.UnmapOps)
 	}
-	for _, r := range released {
-		if r.Size != Page2M {
-			t.Fatalf("released %v", r)
+	if pt.Mapped2M != 5 || pt.Mapped4K != 0 || pt.Mapped1G != 0 {
+		t.Fatalf("remaining mappings 4K=%d 2M=%d 1G=%d, want 2M=5", pt.Mapped4K, pt.Mapped2M, pt.Mapped1G)
+	}
+	// Root + PDPT + PD: the PD still holds five leaves.
+	if pt.TablePages != 3 {
+		t.Fatalf("table pages %d, want 3", pt.TablePages)
+	}
+	for i := uint64(0); i < 8; i++ {
+		va := base + VirtAddr(i*mem.LargePageSize)
+		m, ok := pt.Walk(va)
+		if i >= 2 && i < 5 {
+			if ok {
+				t.Fatalf("unmapped address %#x still walks", uint64(va))
+			}
+			continue
+		}
+		if !ok || m.Size != Page2M || m.PFN != mem.PFN(i*512) {
+			t.Fatalf("surviving mapping at %#x = %+v, %v", uint64(va), m, ok)
 		}
 	}
-	if pt.Mapped2M != 5 {
-		t.Fatalf("remaining 2M mappings %d", pt.Mapped2M)
+}
+
+func TestUnmapRangePrunesAndKeepsStraddlers(t *testing.T) {
+	pt := New()
+	// A 2MB leaf starting before the range survives; the 4KB leaves of
+	// two PTs inside it go, and so do both PTs and their PD.
+	if err := pt.Map(0x4000_0000, 1, Page2M, ProtRead); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := pt.Walk(base + VirtAddr(2*mem.LargePageSize)); ok {
-		t.Fatal("unmapped address still walks")
+	for i := uint64(0); i < 1024; i++ {
+		if err := pt.Map(VirtAddr(0x8000_0000+i*mem.PageSize), mem.PFN(i), Page4K, ProtRead); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, ok := pt.Walk(base); !ok {
-		t.Fatal("surviving mapping lost")
+	// Root + PDPT + two PDs + two PTs.
+	if pt.TablePages != 6 {
+		t.Fatalf("table pages %d before teardown, want 6", pt.TablePages)
+	}
+	pt.UnmapRange(0x4000_1000, 0x8000_0000)
+	if pt.UnmapOps != 1024 || pt.Mapped4K != 0 || pt.Mapped2M != 1 {
+		t.Fatalf("after teardown: ops=%d 4K=%d 2M=%d", pt.UnmapOps, pt.Mapped4K, pt.Mapped2M)
+	}
+	if pt.TablePages != 3 {
+		t.Fatalf("table pages %d after teardown, want 3 (emptied PD and PTs pruned)", pt.TablePages)
+	}
+	if m, ok := pt.Walk(0x4000_0000); !ok || m.PFN != 1 {
+		t.Fatalf("straddling 2MB leaf lost: %+v, %v", m, ok)
+	}
+	// Empty, wrapped and out-of-space ranges remove nothing.
+	pt.UnmapRange(0x4000_0000, 0)
+	pt.UnmapRange(0x4000_0000, ^uint64(0))
+	pt.UnmapRange(1<<48, 1<<30)
+	if pt.Mapped2M != 1 || pt.UnmapOps != 1024 {
+		t.Fatalf("no-op ranges unmapped: 2M=%d ops=%d", pt.Mapped2M, pt.UnmapOps)
+	}
+	pt.UnmapRange(0, 1<<48)
+	if pt.MappedBytes() != 0 || pt.TablePages != 1 {
+		t.Fatalf("full teardown left %d bytes, %d table pages", pt.MappedBytes(), pt.TablePages)
+	}
+	// A never-mapped table is a no-op.
+	empty := New()
+	empty.UnmapRange(0, 1<<48)
+	if empty.TablePages != 1 || empty.UnmapOps != 0 {
+		t.Fatalf("empty table teardown: %+v", empty)
+	}
+}
+
+func TestUnmapRangeUnderflowFails(t *testing.T) {
+	pt := New()
+	if err := pt.Map(0x4000_0000, 1, Page2M, ProtRead); err != nil {
+		t.Fatal(err)
+	}
+	pt.Mapped2M = 0 // counters out of step with the slots
+	defer func() {
+		v, ok := invariant.FromRecovered(recover())
+		if !ok || v.Check != "unmap_underflow" || v.Subsystem != "pgtable" {
+			t.Fatalf("UnmapRange on a corrupted table raised %+v, want an unmap_underflow violation", v)
+		}
+	}()
+	pt.UnmapRange(0x4000_0000, mem.LargePageSize)
+}
+
+func TestUnmapRangeAllocFree(t *testing.T) {
+	f := newStraddleFixture(t)
+	allocs := testing.AllocsPerRun(20, func() {
+		f.pt.UnmapRange(straddleBase, mem.LargePageSize)
+		f.restore()
+	})
+	if allocs != 0 {
+		t.Fatalf("UnmapRange cycle allocates %.1f times per run, want 0", allocs)
 	}
 }
 

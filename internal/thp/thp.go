@@ -69,7 +69,7 @@ func (d *Daemon) scan() {
 		return
 	}
 	load := d.node.LoadFor(p)
-	dur := d.node.Config().Costs.MergeDuration(d.rand, load)
+	dur := d.node.Costs().MergeDuration(d.rand, load)
 	now := d.node.Now()
 	p.MMLockedUntil = now + dur
 	// Deposit the stall: the process's next fault activity inside the
